@@ -330,8 +330,8 @@ func BenchmarkCharacterizeParallel(b *testing.B) {
 // plan, so the patterns/sec metrics are directly comparable between the
 // two benchmark families. The workers=1 row against the event backend's
 // workers=1 row is the single-core speedup the bit-parallel engine exists
-// for (>10x locally; CI gates >=5x via `benchcmp -min-speedup`, leaving
-// headroom for noisy shared runners).
+// for (~7x on a 2-CPU host; CI gates >=5x via `benchcmp -min-speedup`,
+// leaving headroom for noisy shared runners).
 func BenchmarkCharacterizeBitParallel(b *testing.B) {
 	const patterns = 5120
 	nl, err := Build("csa-multiplier", 16)

@@ -252,7 +252,7 @@ func compare(out io.Writer, oldRecs, newRecs []record, metric string, maxRegress
 			continue
 		}
 		// Only same-backend records compare: an event baseline against a
-		// bit-parallel candidate (or vice versa) would read the ~10x engine
+		// bit-parallel candidate (or vice versa) would read the ~7x engine
 		// gap as a huge improvement or regression. Records without a stamped
 		// backend (older baselines) compare as before.
 		if o.Backend != "" && n.Backend != "" && o.Backend != n.Backend {

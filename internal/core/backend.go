@@ -7,7 +7,7 @@ package core
 // event-driven power.Meter (the golden reference, with per-gate transport
 // delays and exact glitch activity) and the bit-parallel internal/bitsim
 // engine (64 pairs per machine word, unit-delay glitch approximation,
-// an order of magnitude faster). Because the deterministic shard plan,
+// about 7x faster on one core). Because the deterministic shard plan,
 // ordered merge, checkpoints and bit-identical-resume guarantees live
 // above this interface, they hold unchanged for every backend; switching
 // backends changes the reference charges (and therefore the fitted

@@ -45,8 +45,8 @@ type CharacterizeOptions struct {
 	// pairs. The zero value (BackendAuto) and BackendEvent use the
 	// caller's meter — the scalar event-driven reference, bit-identical
 	// to prior releases; BackendBitParallel builds a 64-lane bit-parallel
-	// engine over the same netlist (see internal/bitsim), roughly an
-	// order of magnitude faster with unit-delay glitch approximation.
+	// engine over the same netlist (see internal/bitsim), about 7x faster
+	// on one core with unit-delay glitch approximation.
 	// The backend changes the reference charges (and so the fitted
 	// coefficients), never the determinism or resume guarantees; a
 	// checkpoint records its backend and refuses to resume under another.
@@ -286,17 +286,22 @@ func newPairSource(m int, seed int64, density bool) *PairSource {
 	return &PairSource{m: m, rng: rand.New(rand.NewSource(seed)), idx: idx, density: density}
 }
 
-// Next returns the next characterization pair.
+// Next returns the next characterization pair as two fresh words.
 func (ps *PairSource) Next() (u, v logic.Word) {
+	u, v = logic.NewWord(ps.m), logic.NewWord(ps.m)
+	ps.fill(&u, &v)
+	return u, v
+}
+
+// fill overwrites the m-bit words u and v with the next characterization
+// pair, so a shard can generate into one preallocated batch.
+func (ps *PairSource) fill(u, v *logic.Word) {
 	density := 0.5
 	if ps.density {
 		density = 0.05 + 0.9*ps.rng.Float64()
 	}
-	u = logic.NewWord(ps.m)
 	for b := 0; b < ps.m; b++ {
-		if ps.rng.Float64() < density {
-			u.Set(b, true)
-		}
+		u.Set(b, ps.rng.Float64() < density)
 	}
 	i := 1 + ps.rng.Intn(ps.m)
 	// Partial Fisher-Yates for i distinct flip positions.
@@ -304,11 +309,10 @@ func (ps *PairSource) Next() (u, v logic.Word) {
 		j := k + ps.rng.Intn(ps.m-k)
 		ps.idx[k], ps.idx[j] = ps.idx[j], ps.idx[k]
 	}
-	v = u.Clone()
+	v.CopyFrom(*u)
 	for k := 0; k < i; k++ {
 		v.Set(ps.idx[k], !v.Bit(ps.idx[k]))
 	}
-	return u, v
 }
 
 // epsilonReservoir bounds the per-class deviation sample kept by classAcc.
@@ -476,11 +480,11 @@ func runCharShard(b Backend, model *Model, sh shard, seed int64, biased, enhance
 			part.enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
 		}
 	}
-	us := make([]logic.Word, sh.patterns)
-	vs := make([]logic.Word, sh.patterns)
+	words := logic.NewWords(2*sh.patterns, m)
+	us, vs := words[:sh.patterns:sh.patterns], words[sh.patterns:]
 	q := make([]float64, sh.patterns)
 	for j := range us {
-		us[j], vs[j] = ps.Next()
+		ps.fill(&us[j], &vs[j])
 	}
 	b.Charges(us, vs, q)
 	for j := range us {

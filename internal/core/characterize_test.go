@@ -69,6 +69,30 @@ func TestPairSourceCoversStableZeroRange(t *testing.T) {
 	}
 }
 
+// TestPairSourceFillMatchesNext pins the in-place generator the shards use
+// to Next's stream: same draws, same pairs, even when the target words
+// still hold the previous pair, and no allocation.
+func TestPairSourceFillMatchesNext(t *testing.T) {
+	for _, m := range []int{8, 70} {
+		for _, biased := range []bool{false, true} {
+			ref := newPairSource(m, 5, biased)
+			ps := newPairSource(m, 5, biased)
+			w := logic.NewWords(2, m)
+			for k := 0; k < 500; k++ {
+				u, v := ref.Next()
+				ps.fill(&w[0], &w[1])
+				if !w[0].Equal(u) || !w[1].Equal(v) {
+					t.Fatalf("m=%d biased=%v pair %d: fill (%s, %s) != Next (%s, %s)",
+						m, biased, k, w[0], w[1], u, v)
+				}
+			}
+			if a := testing.AllocsPerRun(100, func() { ps.fill(&w[0], &w[1]) }); a != 0 {
+				t.Errorf("m=%d biased=%v: fill allocates %.1f times per pair", m, biased, a)
+			}
+		}
+	}
+}
+
 func TestCharacterizeRippleAdder(t *testing.T) {
 	meter := meterFor(t, "ripple-adder", 4) // m = 8
 	model, err := Characterize(meter, "ripple-adder-4", CharacterizeOptions{

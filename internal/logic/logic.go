@@ -33,6 +33,23 @@ func NewWord(width int) Word {
 	return Word{width: width, limbs: make([]uint64, n)}
 }
 
+// NewWords returns n all-zero words of the given width that share one
+// backing array, so a batch of vectors costs two allocations instead of
+// one per word. Each word's limbs are capped at its own width, so Set on
+// one word never reaches its neighbours.
+func NewWords(n, width int) []Word {
+	if width < 0 {
+		panic(fmt.Sprintf("logic: negative word width %d", width))
+	}
+	per := (width + WordLimbBits - 1) / WordLimbBits
+	limbs := make([]uint64, n*per)
+	out := make([]Word, n)
+	for i := range out {
+		out[i] = Word{width: width, limbs: limbs[i*per : (i+1)*per : (i+1)*per]}
+	}
+	return out
+}
+
 // FromUint returns a word of the given width holding the low `width` bits
 // of v.
 func FromUint(v uint64, width int) Word {
@@ -123,6 +140,15 @@ func (w Word) Clone() Word {
 	c := Word{width: w.width, limbs: make([]uint64, len(w.limbs))}
 	copy(c.limbs, w.limbs)
 	return c
+}
+
+// CopyFrom overwrites w with the bits of src without allocating. It
+// panics if the widths differ.
+func (w *Word) CopyFrom(src Word) {
+	if w.width != src.width {
+		panic(fmt.Sprintf("logic: copy of %d-bit word into %d-bit word", src.width, w.width))
+	}
+	copy(w.limbs, src.limbs)
 }
 
 // Uint returns the word interpreted as an unsigned integer.

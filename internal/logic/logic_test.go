@@ -27,6 +27,47 @@ func TestNewWordNegativePanics(t *testing.T) {
 	NewWord(-1)
 }
 
+// NewWords hands out independent words over one backing array: setting
+// the top bit of one never leaks into its neighbours.
+func TestNewWordsIndependent(t *testing.T) {
+	for _, width := range []int{0, 1, 64, 65, 130} {
+		ws := NewWords(3, width)
+		if width > 0 {
+			ws[1].Set(width-1, true)
+			ws[1].Set(0, true)
+		}
+		for i, w := range ws {
+			want := 0
+			if i == 1 && width > 0 {
+				want = 1 + min(1, width-1)
+			}
+			if w.Width() != width || w.PopCount() != want {
+				t.Errorf("width %d: word %d has width %d, %d set bits; want %d",
+					width, i, w.Width(), w.PopCount(), want)
+			}
+		}
+	}
+}
+
+func TestCopyFrom(t *testing.T) {
+	src := MustParseWord("1011_0010_1")
+	dst := MustParseWord("0100_1111_0")
+	dst.CopyFrom(src)
+	if !dst.Equal(src) {
+		t.Fatalf("CopyFrom: got %s, want %s", dst, src)
+	}
+	src.Set(0, false)
+	if !dst.Bit(0) {
+		t.Fatal("CopyFrom aliased the source")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyFrom across widths did not panic")
+		}
+	}()
+	dst.CopyFrom(NewWord(3))
+}
+
 func TestFromUintRoundTrip(t *testing.T) {
 	cases := []struct {
 		v     uint64

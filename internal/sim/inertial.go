@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"container/heap"
-
 	"hdpower/internal/logic"
 	"hdpower/internal/netlist"
 )
@@ -20,69 +18,42 @@ import (
 // A newer evaluation that re-confirms the current output cancels any
 // pending contrary transition (the inertial filter); one that contradicts
 // the pending transition reschedules it.
+//
+// Scheduled transitions live on a time wheel of value-typed events that
+// the simulator keeps across Apply calls, so a warmed-up simulator runs a
+// cycle without allocating. Every delay is at least one unit, so an event
+// is always scheduled into a later bucket than the one being processed,
+// and within a bucket events sit in scheduling order: walking the wheel
+// visits events in (time, seq) order.
 
-// inertialEvent is a scheduled output change of one gate.
+// inertialEvent is a scheduled output change of one gate; its time is the
+// index of the wheel bucket holding it.
 type inertialEvent struct {
-	time int
-	seq  int // tie-break for determinism
+	seq  int // scheduling order; identifies the gate's live event
 	gate netlist.GateID
 	val  bool
 }
 
-type inertialQueue []*inertialEvent
-
-func (q inertialQueue) Len() int { return len(q) }
-func (q inertialQueue) Less(a, b int) bool {
-	if q[a].time != q[b].time {
-		return q[a].time < q[b].time
-	}
-	return q[a].seq < q[b].seq
-}
-func (q inertialQueue) Swap(a, b int) { q[a], q[b] = q[b], q[a] }
-func (q *inertialQueue) Push(x interface{}) {
-	*q = append(*q, x.(*inertialEvent))
-}
-func (q *inertialQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+// inertialPending is the live scheduled transition of one gate: the seq
+// of its event (-1 if none) and the value it is heading to. Events whose
+// seq no longer matches their gate's pending seq have been cancelled and
+// are skipped.
+type inertialPending struct {
+	seq int
+	val bool
 }
 
 func (s *Simulator) applyInertial(v logic.Word) {
-	// pending[g] points at the live scheduled transition of gate g, nil
-	// if none. Cancelled events stay in the heap with gate = -1.
 	if s.pending == nil {
-		s.pending = make([]*inertialEvent, s.nl.NumGates())
+		s.pending = make([]inertialPending, s.nl.NumGates())
 	}
 	for i := range s.pending {
-		s.pending[i] = nil
+		s.pending[i].seq = -1
 	}
-	var queue inertialQueue
-	seq := 0
-
-	// evaluate gate g at time t: schedule/cancel its output transition.
-	evaluate := func(g netlist.GateID, t int) {
-		newVal := s.evalGate(g)
-		out := s.nl.GateOutput(g)
-		if p := s.pending[g]; p != nil {
-			if p.val == newVal {
-				return // already heading there
-			}
-			// Contradicts the pending transition: the pulse that caused
-			// it was narrower than the gate delay — cancel it.
-			p.gate = -1
-			s.pending[g] = nil
-		}
-		if s.value[out] == newVal {
-			return // stable at the right value, nothing to schedule
-		}
-		e := &inertialEvent{time: t + s.delay[g], seq: seq, gate: g, val: newVal}
-		seq++
-		s.pending[g] = e
-		heap.Push(&queue, e)
+	for t := range s.wheel {
+		s.wheel[t] = s.wheel[t][:0]
 	}
+	s.seq = 0
 
 	// Apply input edges at t = 0.
 	for i, id := range s.inputNets {
@@ -91,27 +62,53 @@ func (s *Simulator) applyInertial(v logic.Word) {
 			s.value[id] = nv
 			s.toggles[id]++
 			for _, g := range s.fanout[id] {
-				evaluate(g, 0)
+				s.evaluateInertial(g, 0)
 			}
 		}
 	}
-	for queue.Len() > 0 {
-		e := heap.Pop(&queue).(*inertialEvent)
-		if e.gate < 0 {
-			continue // cancelled
-		}
-		s.pending[e.gate] = nil
-		out := s.nl.GateOutput(e.gate)
-		if s.value[out] == e.val {
-			continue
-		}
-		s.value[out] = e.val
-		s.toggles[out]++
-		if s.recording {
-			s.record = append(s.record, event{time: e.time, net: out, val: e.val})
-		}
-		for _, g := range s.fanout[out] {
-			evaluate(g, e.time)
+	for t := 0; t < len(s.wheel); t++ {
+		for _, e := range s.wheel[t] {
+			if s.pending[e.gate].seq != e.seq {
+				continue // cancelled
+			}
+			s.pending[e.gate].seq = -1
+			out := s.nl.GateOutput(e.gate)
+			if s.value[out] == e.val {
+				continue
+			}
+			s.value[out] = e.val
+			s.toggles[out]++
+			if s.recording {
+				s.record = append(s.record, event{time: t, net: out, val: e.val})
+			}
+			for _, g := range s.fanout[out] {
+				s.evaluateInertial(g, t)
+			}
 		}
 	}
+}
+
+// evaluateInertial evaluates gate g at time t and schedules or cancels its
+// output transition.
+func (s *Simulator) evaluateInertial(g netlist.GateID, t int) {
+	newVal := s.evalGate(g)
+	out := s.nl.GateOutput(g)
+	if p := &s.pending[g]; p.seq >= 0 {
+		if p.val == newVal {
+			return // already heading there
+		}
+		// Contradicts the pending transition: the pulse that caused it
+		// was narrower than the gate delay — cancel it.
+		p.seq = -1
+	}
+	if s.value[out] == newVal {
+		return // stable at the right value, nothing to schedule
+	}
+	at := t + s.delay[g]
+	for len(s.wheel) <= at {
+		s.wheel = append(s.wheel, nil)
+	}
+	s.pending[g] = inertialPending{seq: s.seq, val: newVal}
+	s.wheel[at] = append(s.wheel[at], inertialEvent{seq: s.seq, gate: g, val: newVal})
+	s.seq++
 }

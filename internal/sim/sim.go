@@ -79,12 +79,16 @@ type Simulator struct {
 	value   []bool  // current value per net
 	toggles []int64 // per-net toggle counts of the last Apply
 
-	// event-driven state
+	// event-driven state. The time wheel keeps its length and every
+	// bucket's backing array across Apply calls, so a warmed-up simulator
+	// schedules without allocating.
 	buckets   [][]netlist.GateID // time wheel, index = absolute time
 	scheduled []int              // last time a gate was scheduled, -1 if never
 
-	// inertial-engine state
-	pending []*inertialEvent
+	// inertial-engine state, kept across Apply calls (see inertial.go)
+	pending []inertialPending
+	wheel   [][]inertialEvent // index = absolute time
+	seq     int               // scheduling order of the next inertial event
 
 	// value-change recording (used by DumpVCD)
 	recording bool
@@ -223,11 +227,13 @@ func (s *Simulator) evalGate(g netlist.GateID) bool {
 		}
 		return s.value[ins[0]]
 	default:
-		buf := make([]bool, len(ins))
+		// No cell has more than three inputs; a fixed array keeps the
+		// rarer kinds (And3, Aoi21, ...) off the heap.
+		var buf [3]bool
 		for i, id := range ins {
 			buf[i] = s.value[id]
 		}
-		return cells.Eval(s.nl.GateKind(g), buf)
+		return cells.Eval(s.nl.GateKind(g), buf[:len(ins)])
 	}
 }
 
@@ -275,7 +281,9 @@ func (s *Simulator) applyEventDriven(v logic.Word) {
 	for i := range s.scheduled {
 		s.scheduled[i] = -1
 	}
-	s.buckets = s.buckets[:0]
+	for t := range s.buckets {
+		s.buckets[t] = s.buckets[t][:0]
+	}
 
 	// Input edges at t = 0 schedule their fanout gates.
 	for i, id := range s.inputNets {
@@ -290,8 +298,7 @@ func (s *Simulator) applyEventDriven(v logic.Word) {
 		}
 	}
 	for t := 0; t < len(s.buckets); t++ {
-		bucket := s.buckets[t]
-		for _, g := range bucket {
+		for _, g := range s.buckets[t] {
 			out := s.nl.GateOutput(g)
 			nv := s.evalGate(g)
 			if s.value[out] != nv {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -54,6 +55,12 @@ type ModelProf struct {
 
 // profShard is one shard's counters. Latency is accumulated in integer
 // nanoseconds so recording is a plain atomic add rather than a CAS loop.
+//
+// Every counter only grows. So when two successive reads of a shard agree
+// on every counter, no counter changed between the end of the first read
+// and the start of the second, and the read is a consistent cut of the
+// shard at that instant. Snapshots retry until two reads agree; recorders
+// pay nothing for it.
 type profShard struct {
 	classes   [MaxClasses]atomic.Uint64
 	requests  atomic.Uint64
@@ -143,7 +150,39 @@ func (m *ModelProf) RecordRequest(hint uint32, estimates int, latSeconds float64
 	}
 }
 
-// Snapshot sums the model's shards.
+// shardCut is one consistent reading of a shard's counters.
+type shardCut struct {
+	requests, estimates, latNanos, latCount uint64
+	classes                                 [MaxClasses]uint64
+}
+
+func (sh *profShard) read(c *shardCut) {
+	c.requests = sh.requests.Load()
+	c.estimates = sh.estimates.Load()
+	c.latNanos = sh.latNanos.Load()
+	c.latCount = sh.latCount.Load()
+	for i := range c.classes {
+		c.classes[i] = sh.classes[i].Load()
+	}
+}
+
+// cut reads the shard's counters at one instant: it rereads until two
+// successive reads agree (see profShard), yielding the processor between
+// attempts so the recorders it races can make progress.
+func (sh *profShard) cut(c *shardCut) {
+	sh.read(c)
+	for {
+		var next shardCut
+		sh.read(&next)
+		if next == *c {
+			return
+		}
+		*c = next
+		runtime.Gosched()
+	}
+}
+
+// Snapshot sums the model's shards, each read at a consistent cut.
 func (m *ModelProf) Snapshot() ModelSnapshot {
 	s := ModelSnapshot{
 		Key:     m.key.String(),
@@ -154,20 +193,21 @@ func (m *ModelProf) Snapshot() ModelSnapshot {
 		HdHits:  make([]uint64, m.classes),
 	}
 	var latNanos, latCount uint64
+	var c shardCut
 	for i := range m.shards {
-		sh := &m.shards[i]
-		s.Requests += sh.requests.Load()
-		s.Estimates += sh.estimates.Load()
-		latNanos += sh.latNanos.Load()
-		latCount += sh.latCount.Load()
-		for c := 0; c < m.classes; c++ {
-			s.HdHits[c] += sh.classes[c].Load()
+		m.shards[i].cut(&c)
+		s.Requests += c.requests
+		s.Estimates += c.estimates
+		latNanos += c.latNanos
+		latCount += c.latCount
+		for k := 0; k < m.classes; k++ {
+			s.HdHits[k] += c.classes[k]
 		}
 		// Out-of-range Hd values are clamped into the top slot by
 		// RecordClass; fold anything above the model's class count into
 		// the last class so no hit is lost from the snapshot.
-		for c := m.classes; c < MaxClasses; c++ {
-			s.HdHits[m.classes-1] += sh.classes[c].Load()
+		for k := m.classes; k < MaxClasses; k++ {
+			s.HdHits[m.classes-1] += c.classes[k]
 		}
 	}
 	if latCount > 0 {
