@@ -228,10 +228,12 @@ func cpuLabel(n int) string {
 }
 
 // compare gates every baseline benchmark's metric against the fresh run.
+// Rows match on benchName, so a baseline from a host with another core
+// count still pairs up with the fresh rows.
 func compare(out io.Writer, oldRecs, newRecs []record, metric string, maxRegress float64) []string {
 	byName := make(map[string]record, len(newRecs))
 	for _, r := range newRecs {
-		byName[r.Name] = r
+		byName[benchName(r.Name)] = r
 	}
 	var failures []string
 	fmt.Fprintf(out, "%-50s %14s %14s %8s\n", "benchmark", "old "+metric, "new "+metric, "delta")
@@ -241,7 +243,7 @@ func compare(out io.Writer, oldRecs, newRecs []record, metric string, maxRegress
 			// Baseline rows without the gated metric don't constrain the run.
 			continue
 		}
-		n, ok := byName[o.Name]
+		n, ok := byName[benchName(o.Name)]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: present in baseline, missing from new run", o.Name))
 			continue
@@ -272,6 +274,19 @@ func compare(out io.Writer, oldRecs, newRecs []record, metric string, maxRegress
 		}
 	}
 	return failures
+}
+
+// benchName strips the "-N" GOMAXPROCS suffix the testing package
+// appends to every benchmark name when N > 1.
+func benchName(name string) string {
+	i := len(name)
+	for i > 0 && name[i-1] >= '0' && name[i-1] <= '9' {
+		i--
+	}
+	if i < len(name) && i > 1 && name[i-1] == '-' {
+		return name[:i-1]
+	}
+	return name
 }
 
 // ratioGate is a floor on the metric ratio of two benchmarks within the

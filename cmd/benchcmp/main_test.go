@@ -49,6 +49,25 @@ func TestCompareMissingMetricInNewRun(t *testing.T) {
 	}
 }
 
+// TestCompareIgnoresProcsSuffix: a 1-CPU baseline ("B/workers=1") and a
+// multi-core run ("B/workers=1-2") name the same benchmark.
+func TestCompareIgnoresProcsSuffix(t *testing.T) {
+	oldRecs := []record{rec("B/workers=1", 1000), rec("B/workers=8-4", 4000)}
+	newRecs := []record{rec("B/workers=1-2", 950), rec("B/workers=8-2", 2000)}
+	fails := compare(io.Discard, oldRecs, newRecs, "patterns/sec", 0.25)
+	if len(fails) != 1 || !strings.Contains(fails[0], "B/workers=8-4: patterns/sec regressed") {
+		t.Fatalf("failures = %v", fails)
+	}
+	for name, want := range map[string]string{
+		"B/workers=1-2": "B/workers=1", "B/workers=1": "B/workers=1",
+		"B-16": "B", "B/size-": "B/size-", "-2": "-2", "B/x=1-2-8": "B/x=1-2",
+	} {
+		if got := benchName(name); got != want {
+			t.Errorf("benchName(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
 func TestScaling(t *testing.T) {
 	gate := func(target string) ratioGate {
 		return ratioGate{floor: 1.5, base: "workers=1", target: target, label: "scaling"}

@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"hdpower/internal/atomicio"
+	"hdpower/internal/retry"
 )
 
 // record mirrors cmd/benchjson's output schema so BENCH_serve.json flows
@@ -254,17 +255,6 @@ func transientErr(err error) bool {
 		errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// retryDelay is the capped full-jitter backoff before retry attempt n.
-// Jitter only shifts when a retry fires; it never influences which
-// requests are sent, so runs stay reproducible.
-func retryDelay(attempt int) time.Duration {
-	d := retryBase << uint(attempt)
-	if d > retryCap {
-		d = retryCap
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
 // postRetry is client.Post with transient-error retry. The body is a
 // byte slice (not a Reader) precisely so each attempt can resend it.
 func postRetry(client *http.Client, url, contentType string, body []byte) (*http.Response, error) {
@@ -276,7 +266,7 @@ func postRetry(client *http.Client, url, contentType string, body []byte) (*http
 		if attempt >= retryAttempts-1 || !transientErr(err) {
 			return nil, err
 		}
-		delay := retryDelay(attempt)
+		delay := retry.Backoff(retryBase, retryCap, attempt)
 		fmt.Fprintf(os.Stderr, "hdload: transient error (%v); retrying in %s\n", err, delay)
 		time.Sleep(delay)
 	}
@@ -292,7 +282,7 @@ func getRetry(client *http.Client, url string) (*http.Response, error) {
 		if attempt >= retryAttempts-1 || !transientErr(err) {
 			return nil, err
 		}
-		delay := retryDelay(attempt)
+		delay := retry.Backoff(retryBase, retryCap, attempt)
 		fmt.Fprintf(os.Stderr, "hdload: transient error (%v); retrying in %s\n", err, delay)
 		time.Sleep(delay)
 	}

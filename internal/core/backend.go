@@ -154,13 +154,23 @@ func (o *CharacterizeOptions) resolveBackend(meter *power.Meter) (Backend, error
 	}
 }
 
-// backendPool returns per-worker backends: slot 0 is the resolved
-// backend, the rest are clones sharing its immutable topology.
-func backendPool(b Backend, workers int) []Backend {
-	pool := make([]Backend, workers)
+// workerBackends resolves the Backend option against the meter and
+// returns one backend per worker, the worker count clamped to the number
+// of shards to run: slot 0 is the resolved backend, the rest are clones
+// sharing its immutable topology.
+func (o *CharacterizeOptions) workerBackends(meter *power.Meter, shards int) ([]Backend, error) {
+	b, err := o.resolveBackend(meter)
+	if err != nil {
+		return nil, err
+	}
+	workers := o.workerCount()
+	if workers > shards {
+		workers = shards
+	}
+	pool := make([]Backend, max(workers, 1))
 	pool[0] = b
-	for w := 1; w < workers; w++ {
+	for w := 1; w < len(pool); w++ {
 		pool[w] = b.Clone()
 	}
-	return pool
+	return pool, nil
 }

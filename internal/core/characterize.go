@@ -456,6 +456,24 @@ const (
 	streamPortB  = 3 // CharacterizePorts, port B
 )
 
+// newCharPartial allocates empty accumulators in the model's class
+// geometry: the basic classes and, when enhanced, the stable-zero refined
+// classes of the enhanced table.
+func newCharPartial(model *Model, patterns int, basic, enhanced bool) *charPartial {
+	m := model.InputBits
+	part := &charPartial{patterns: patterns}
+	if basic {
+		part.basic = make([]classAcc, m)
+	}
+	if enhanced {
+		part.enhanced = make([][]classAcc, m)
+		for i := 1; i <= m; i++ {
+			part.enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
+		}
+	}
+	return part
+}
+
 // runCharShard simulates one shard of the characterization stream on the
 // worker's own backend and returns its partial accumulators. The shard's
 // pairs are generated up front and priced as one batch — the event
@@ -466,20 +484,12 @@ const (
 func runCharShard(b Backend, model *Model, sh shard, seed int64, biased, enhanced bool) *charPartial {
 	faultpoint.Delay("core.shard") // chaos: stragglers must not change the model
 	m := model.InputBits
-	part := &charPartial{patterns: sh.patterns}
-	var ps *PairSource
+	part := newCharPartial(model, sh.patterns, !biased, enhanced)
+	stream := streamBasic
 	if biased {
-		ps = newPairSource(m, shardSeed(seed, streamBiased, sh.index), true)
-	} else {
-		ps = newPairSource(m, shardSeed(seed, streamBasic, sh.index), false)
-		part.basic = make([]classAcc, m)
+		stream = streamBiased
 	}
-	if enhanced {
-		part.enhanced = make([][]classAcc, m)
-		for i := 1; i <= m; i++ {
-			part.enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
-		}
-	}
+	ps := newPairSource(m, shardSeed(seed, stream, sh.index), biased)
 	words := logic.NewWords(2*sh.patterns, m)
 	us, vs := words[:sh.patterns:sh.patterns], words[sh.patterns:]
 	q := make([]float64, sh.patterns)
@@ -500,15 +510,6 @@ func runCharShard(b Backend, model *Model, sh shard, seed int64, biased, enhance
 	return part
 }
 
-// mergeEnhanced folds a shard's enhanced partials into the totals.
-func mergeEnhanced(total, part [][]classAcc) {
-	for i := range part {
-		for zb := range part[i] {
-			total[i][zb].merge(&part[i][zb])
-		}
-	}
-}
-
 // verifyNetlist statically lints the meter's netlist before any pattern
 // is simulated. Meter construction finalizes the netlist, but surgery
 // (netlist.RewireGateInput/RedriveGateOutput) and corruption can happen
@@ -526,218 +527,108 @@ func verifyNetlist(meter *power.Meter, moduleName string) error {
 	return nil
 }
 
+// inputBits verifies the meter's netlist and returns its input width,
+// which every characterization needs to be positive.
+func inputBits(meter *power.Meter, moduleName string) (int, error) {
+	if err := verifyNetlist(meter, moduleName); err != nil {
+		return 0, err
+	}
+	m := meter.NumInputBits()
+	if m <= 0 {
+		return 0, fmt.Errorf("core: module %s has no inputs", moduleName)
+	}
+	return m, nil
+}
+
 // Characterize runs the characterization process of Section 4.1 against
 // the reference charge meter and returns the fitted model. The meter's
 // module must have at least one input bit. With Workers > 1 (or the
 // runtime.NumCPU default on multi-core hosts) the pattern stream is
 // characterized by a worker pool over clones of the meter; see
 // CharacterizeOptions.Workers for the determinism contract.
+//
+// Characterize drives a MergeSession in process: each phase's remaining
+// shards run through runShardsOrdered and are folded into the session in
+// shard order, which owns the merge, the convergence check, the early
+// stop and the phase hooks. Between shards it polls Interrupt and takes
+// the periodic checkpoint. Because the session at a merged-shard boundary
+// is a pure function of the shard prefix, a resumed run that replays the
+// remaining shards lands on exactly the model of an uninterrupted run.
 func Characterize(meter *power.Meter, moduleName string, opt CharacterizeOptions) (*Model, error) {
 	opt.setDefaults()
-	if err := verifyNetlist(meter, moduleName); err != nil {
-		return nil, err
-	}
-	m := meter.NumInputBits()
-	if m <= 0 {
-		return nil, fmt.Errorf("core: module %s has no inputs", moduleName)
-	}
-
-	model := &Model{
-		Module:    moduleName,
-		InputBits: m,
-		Basic:     make([]Coef, m),
-		ZClusters: opt.ZClusters,
-	}
-	basic := make([]classAcc, m)
-	var enhanced [][]classAcc
-	if opt.Enhanced {
-		enhanced = make([][]classAcc, m)
-		for i := 1; i <= m; i++ {
-			enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
-		}
-	}
-
-	plan := shardPlan(opt.Patterns)
-	workers := opt.workerCount()
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	backend, err := opt.resolveBackend(meter)
+	m, err := inputBits(meter, moduleName)
 	if err != nil {
 		return nil, err
 	}
-	backends := backendPool(backend, workers)
-
-	conv := newConvTracker(m, opt.ConvergeTol, opt.CheckEvery)
-	checkpoints := opt.ConvergeTol > 0 || opt.Hooks.wantsConvergence()
-	patternsUsed := 0
-	patternsBiased := 0
-	stopped := false
-	earlyStopAt := 0
-
-	// Crash safety: restore a prior run's merged state when resuming, and
-	// snapshot at shard boundaries while running. Because the accumulators
-	// at a merged-shard boundary are a pure function of the shard prefix,
-	// a resumed run that replays the remaining shards lands on exactly the
-	// accumulators — and therefore the model — of an uninterrupted run.
+	sess, err := newSession(moduleName, m, opt)
+	if err != nil {
+		return nil, err
+	}
+	model, plan := sess.model, sess.plan
+	backends, err := opt.workerBackends(meter, len(plan))
+	if err != nil {
+		return nil, err
+	}
 	var ck *checkpointer
 	if opt.Checkpoint.Path != "" {
-		ck = newCheckpointer(&opt, moduleName, m)
+		ck = &checkpointer{path: opt.Checkpoint.Path, every: opt.Checkpoint.every(), sess: sess}
 	}
-	resume, err := loadResume(&opt, moduleName, m, model, len(plan))
+	resumed, err := ck.resume(opt.Checkpoint.Resume)
 	if err != nil {
 		return nil, err
 	}
-	basicStart, biasedStart, usedShards := 0, 0, 0
-	basicDone := false
-	if resume != nil {
-		resume.restore(basic, enhanced, conv)
-		patternsUsed = resume.PatternsBasic
-		patternsBiased = resume.PatternsBiased
-		stopped = resume.EarlyStopped
-		earlyStopAt = resume.EarlyStopAt
-		if resume.Phase == PhaseBiased {
-			basicDone = true
-			usedShards = resume.UsedShards
-			biasedStart = resume.ShardsMerged
-		} else {
-			basicStart = resume.ShardsMerged
-		}
-		opt.Hooks.resumed(resume.Phase, resume.totalShardsMerged(),
-			resume.PatternsBasic, resume.PatternsBiased)
+	if !resumed {
+		sess.openPhase(len(plan), opt.Patterns)
 	}
 
-	// Phase 1: unbiased stratified pairs fill the basic classes (and, when
-	// fitting the enhanced table, its unbiased share of the E_{i,z}
-	// classes). The convergence check runs on the merged prefix only, so
-	// the early-stop point is worker-count-independent.
-	var interrupted error
-	opt.Hooks.phaseStart(PhaseBasic, len(plan), opt.Patterns)
-	if !basicDone {
-		merged := runShardsOrdered(len(plan)-basicStart, workers,
+	// Phase 1 (basic) fills the basic classes from unbiased stratified
+	// pairs; the convergence check runs on the merged prefix only, so the
+	// early-stop point is worker-count-independent. Phase 2 (biased, for
+	// the enhanced table) replays the shards phase 1 consumed with
+	// density-stratified pairs that populate the extreme stable-zero
+	// classes uniform vectors almost never produce (paper Fig. 2).
+	for !sess.Done() {
+		start, biased := sess.merged, sess.phase == PhaseBiased
+		var interrupted error
+		runShardsOrdered(sess.PhaseShards()-start, len(backends),
 			func(w, idx int) *charPartial {
-				return runCharShard(backends[w], model, plan[basicStart+idx], opt.Seed, false, opt.Enhanced)
+				return runCharShard(backends[w], model, plan[start+idx], opt.Seed, biased, opt.Enhanced)
 			},
-			func(idx int, part *charPartial) bool {
-				abs := basicStart + idx + 1 // shards merged so far, this one included
-				for k := range basic {
-					basic[k].merge(&part.basic[k])
-				}
-				if opt.Enhanced {
-					mergeEnhanced(enhanced, part.enhanced)
-				}
-				patternsUsed += part.patterns
-				opt.Hooks.patterns(part.patterns)
-				opt.Hooks.shardMerged()
-				// The convergence check must precede any snapshot at this
-				// boundary: a checkpoint taken with a due check still
-				// pending would resume into a different check cadence and
-				// break the bit-identical guarantee.
-				if checkpoints {
-					if worst, checked, stop := conv.check(basic, patternsUsed); checked {
-						opt.Hooks.convergence(patternsUsed, worst)
-						if stop {
-							// The stop decision itself is persisted by the
-							// phase-boundary snapshot below, so a crash in
-							// the biased phase never replays the check.
-							stopped = true
-							earlyStopAt = patternsUsed
-							opt.Hooks.earlyStop(patternsUsed)
-							return false
-						}
-					}
-				}
-				cur := cursor{phase: PhaseBasic, shardsMerged: abs, patternsBasic: patternsUsed}
-				if opt.Interrupt != nil {
-					if err := opt.Interrupt(); err != nil {
-						interrupted = err
-						ck.save(cur, basic, enhanced, conv)
-						return false
-					}
-				}
-				if ferr := faultpoint.Hit("core.merge"); ferr != nil {
-					interrupted = ferr
-					ck.save(cur, basic, enhanced, conv)
+			func(_ int, part *charPartial) bool {
+				if sess.fold(part) && !biased && sess.stopped {
+					// The early-stop shard: the phase-boundary snapshot
+					// persists the decision, so a crash in the biased
+					// phase never replays the check.
 					return false
 				}
-				ck.maybeSave(cur, basic, enhanced, conv)
-				return true
-			})
-		usedShards = basicStart + merged
-	}
-	opt.Hooks.phaseEnd(PhaseBasic)
-	if interrupted != nil {
-		return nil, fmt.Errorf("core: characterization of %s interrupted: %w", moduleName, interrupted)
-	}
-
-	// Phase 2 for the enhanced table: density-stratified pairs populate
-	// the extreme stable-zero classes that uniform vectors almost never
-	// produce (all-stable-bits-zero / -one, paper Fig. 2). These samples
-	// feed only the enhanced accumulators, keeping the basic coefficients
-	// unbiased for uniform streams. The biased budget mirrors the shards
-	// phase 1 actually consumed.
-	if opt.Enhanced {
-		if ck != nil && !basicDone {
-			// Phase boundary snapshot: a crash during the biased phase must
-			// not replay the basic phase.
-			ck.save(cursor{
-				phase: PhaseBiased, usedShards: usedShards,
-				patternsBasic: patternsUsed,
-				earlyStopped:  stopped, earlyStopAt: earlyStopAt,
-			}, basic, enhanced, conv)
-		}
-		opt.Hooks.phaseStart(PhaseBiased, usedShards, patternsUsed)
-		runShardsOrdered(usedShards-biasedStart, workers,
-			func(w, idx int) *charPartial {
-				return runCharShard(backends[w], model, plan[biasedStart+idx], opt.Seed, true, true)
-			},
-			func(idx int, part *charPartial) bool {
-				abs := biasedStart + idx + 1
-				mergeEnhanced(enhanced, part.enhanced)
-				patternsBiased += part.patterns
-				opt.Hooks.patterns(part.patterns)
-				opt.Hooks.shardMerged()
-				cur := cursor{
-					phase: PhaseBiased, shardsMerged: abs, usedShards: usedShards,
-					patternsBasic: patternsUsed, patternsBiased: patternsBiased,
-					earlyStopped: stopped, earlyStopAt: earlyStopAt,
-				}
-				if opt.Interrupt != nil {
-					if err := opt.Interrupt(); err != nil {
-						interrupted = err
-						ck.save(cur, basic, enhanced, conv)
-						return false
-					}
-				}
-				if ferr := faultpoint.Hit("core.merge"); ferr != nil {
-					interrupted = ferr
-					ck.save(cur, basic, enhanced, conv)
+				if interrupted = interruption(opt.Interrupt); interrupted != nil {
+					ck.save()
 					return false
 				}
-				ck.maybeSave(cur, basic, enhanced, conv)
+				ck.tick()
 				return true
 			})
-		opt.Hooks.phaseEnd(PhaseBiased)
 		if interrupted != nil {
+			sess.Close()
 			return nil, fmt.Errorf("core: characterization of %s interrupted: %w", moduleName, interrupted)
 		}
+		// Phase-boundary snapshot: a crash during the biased phase must
+		// not replay the basic phase.
+		sess.advance(ck.save)
 	}
 	// The run is complete; a leftover checkpoint would make the next run
 	// of this spec resume into an already-finished state.
 	ck.remove()
+	return sess.Finish()
+}
 
-	for k := range basic {
-		model.Basic[k] = basic[k].coef()
-	}
-	if opt.Enhanced {
-		model.Enhanced = make([][]Coef, m)
-		for i := 1; i <= m; i++ {
-			row := make([]Coef, len(enhanced[i-1]))
-			for zb := range row {
-				row[zb] = enhanced[i-1][zb].coef()
-			}
-			model.Enhanced[i-1] = row
+// interruption polls the caller's Interrupt and the core.merge fault
+// point after a merged shard; a non-nil result aborts the run.
+func interruption(poll func() error) error {
+	if poll != nil {
+		if err := poll(); err != nil {
+			return err
 		}
 	}
-	return model, model.Validate()
+	return faultpoint.Hit("core.merge")
 }

@@ -3,7 +3,7 @@ package core
 // checkpoint.go makes characterization crash-safe. The expensive phase of
 // the paper's flow is simulating millions of pattern pairs; a crash, OOM
 // kill, or SIGTERM used to throw every merged shard away. A Checkpoint is
-// a versioned, checksummed snapshot of the merged state — the per-class
+// a versioned, checksummed MergeSession.Snapshot — the per-class
 // accumulators, the convergence tracker, and the shard cursor — written
 // atomically (internal/atomicio) at merged-shard boundaries. Because the
 // pattern stream is sharded deterministically by (Seed, stream, shard
@@ -71,6 +71,40 @@ func (a *classAcc) state() AccState {
 
 func (s AccState) acc() classAcc {
 	return classAcc{count: s.Count, sum: s.Sum, dev: s.Dev}
+}
+
+// states serializes a partial's accumulators; an absent table stays nil.
+func (p *charPartial) states() (basic []AccState, enhanced [][]AccState) {
+	if p.basic != nil {
+		basic = make([]AccState, len(p.basic))
+		for i := range p.basic {
+			basic[i] = p.basic[i].state()
+		}
+	}
+	if p.enhanced != nil {
+		enhanced = make([][]AccState, len(p.enhanced))
+		for i := range p.enhanced {
+			enhanced[i] = make([]AccState, len(p.enhanced[i]))
+			for z := range p.enhanced[i] {
+				enhanced[i][z] = p.enhanced[i][z].state()
+			}
+		}
+	}
+	return basic, enhanced
+}
+
+// load overwrites a partial's accumulators with serialized ones of the
+// same geometry. The loaded accumulators share the serialized
+// deviation-sample arrays.
+func (p *charPartial) load(basic []AccState, enhanced [][]AccState) {
+	for i := range basic {
+		p.basic[i] = basic[i].acc()
+	}
+	for i := range enhanced {
+		for z := range enhanced[i] {
+			p.enhanced[i][z] = enhanced[i][z].acc()
+		}
+	}
 }
 
 // Checkpoint is one crash-safe snapshot of a characterization run at a
@@ -221,19 +255,27 @@ func (c *Checkpoint) sanity(model *Model, shards int) error {
 		return fmt.Errorf("%d basic accumulators, want %d", len(c.Basic), model.InputBits)
 	}
 	if c.Enhanced {
-		if len(c.EnhancedAcc) != model.InputBits {
-			return fmt.Errorf("%d enhanced rows, want %d", len(c.EnhancedAcc), model.InputBits)
-		}
-		for i := 1; i <= model.InputBits; i++ {
-			if len(c.EnhancedAcc[i-1]) != model.NumZBuckets(i) {
-				return fmt.Errorf("enhanced row %d has %d buckets, want %d",
-					i, len(c.EnhancedAcc[i-1]), model.NumZBuckets(i))
-			}
+		if err := model.checkEnhancedRows(c.EnhancedAcc); err != nil {
+			return err
 		}
 	}
 	if len(c.ConvPrev) != model.InputBits || len(c.ConvPrevCount) != model.InputBits {
 		return fmt.Errorf("convergence state sized %d/%d, want %d",
 			len(c.ConvPrev), len(c.ConvPrevCount), model.InputBits)
+	}
+	return nil
+}
+
+// checkEnhancedRows checks serialized enhanced accumulators against the
+// model's class geometry.
+func (m *Model) checkEnhancedRows(rows [][]AccState) error {
+	if len(rows) != m.InputBits {
+		return fmt.Errorf("%d enhanced rows, want %d", len(rows), m.InputBits)
+	}
+	for i := 1; i <= m.InputBits; i++ {
+		if len(rows[i-1]) != m.NumZBuckets(i) {
+			return fmt.Errorf("enhanced row %d has %d buckets, want %d", i, len(rows[i-1]), m.NumZBuckets(i))
+		}
 	}
 	return nil
 }
@@ -257,24 +299,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	}
 }
 
-// checkpointer owns the snapshot lifecycle of one Characterize call.
-type checkpointer struct {
-	path  string
-	every int
-	base  Checkpoint // identity fields, filled once
-	hooks *Hooks
-	since int // shards merged since the last snapshot
-}
-
-func newCheckpointer(opt *CharacterizeOptions, module string, inputBits int) *checkpointer {
-	return &checkpointer{
-		path:  opt.Checkpoint.Path,
-		every: opt.Checkpoint.every(),
-		hooks: opt.Hooks,
-		base:  baseCheckpoint(module, inputBits, opt),
-	}
-}
-
 // baseCheckpoint fills the identity fields shared by every snapshot of a
 // run — file checkpoints and fleet ledger snapshots alike.
 func baseCheckpoint(module string, inputBits int, opt *CharacterizeOptions) Checkpoint {
@@ -293,62 +317,65 @@ func baseCheckpoint(module string, inputBits int, opt *CharacterizeOptions) Chec
 	}
 }
 
-// cursor is the save-time position of the run.
-type cursor struct {
-	phase          string
-	shardsMerged   int
-	usedShards     int
-	patternsBasic  int
-	patternsBiased int
-	earlyStopped   bool
-	earlyStopAt    int
+// checkpointer owns the checkpoint file of one Characterize call: it
+// writes the session's Snapshot at merged-shard boundaries and resumes the
+// session from it. A nil checkpointer (checkpointing disabled) ignores
+// every call.
+type checkpointer struct {
+	path  string
+	every int
+	sess  *MergeSession
+	since int // shards merged since the last snapshot
 }
 
-// save snapshots the merged state at a shard boundary. Failures are
-// reported through the CheckpointSaved hook and never fail the run: a
-// characterization with a broken checkpoint disk still produces a model.
-func (ck *checkpointer) save(cur cursor, basic []classAcc, enhanced [][]classAcc, conv *convTracker) {
+// resume resolves the Resume option: it restores the session from the
+// checkpoint file and reports whether it did. No file, or a corrupt one
+// (quarantined), starts fresh; an identity mismatch or an unreadable file
+// is an error.
+func (ck *checkpointer) resume(want bool) (bool, error) {
+	if ck == nil || !want {
+		return false, nil
+	}
+	cp, err := LoadCheckpoint(ck.path)
+	switch {
+	case err == nil:
+	case os.IsNotExist(err), atomicio.IsCorrupt(err):
+		// A corrupt file was quarantined by the loader; the checkpoint was
+		// an optimization, so degrade to a fresh (slower, still correct) run.
+		return false, nil
+	default:
+		return false, fmt.Errorf("core: checkpoint %s: %w", ck.path, err)
+	}
+	err = ck.sess.resume(cp, ck.path, ck.save)
+	if err != nil && !IsCheckpointMismatch(err) {
+		// Checksum and identity passed but the structure is impossible:
+		// quarantine and start fresh rather than resuming into garbage.
+		_ = atomicio.MarkCorrupt(ck.path, err.Error())
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// save snapshots the session. Failures are reported through the
+// CheckpointSaved hook and never fail the run: a characterization with a
+// broken checkpoint disk still produces a model.
+func (ck *checkpointer) save() {
 	if ck == nil {
 		return
 	}
-	cp := ck.base
-	cp.Phase = cur.phase
-	cp.ShardsMerged = cur.shardsMerged
-	cp.UsedShards = cur.usedShards
-	cp.PatternsBasic = cur.patternsBasic
-	cp.PatternsBiased = cur.patternsBiased
-	cp.EarlyStopped = cur.earlyStopped
-	cp.EarlyStopAt = cur.earlyStopAt
-	cp.Basic = make([]AccState, len(basic))
-	for i := range basic {
-		cp.Basic[i] = basic[i].state()
-	}
-	if enhanced != nil {
-		cp.EnhancedAcc = make([][]AccState, len(enhanced))
-		for i := range enhanced {
-			row := make([]AccState, len(enhanced[i]))
-			for z := range enhanced[i] {
-				row[z] = enhanced[i][z].state()
-			}
-			cp.EnhancedAcc[i] = row
-		}
-	}
-	cp.ConvNext = conv.nextCheck
-	cp.ConvPrev = conv.prev
-	cp.ConvPrevCount = conv.prevCount
-	err := atomicio.WriteJSON(ck.path, &cp)
+	err := atomicio.WriteJSON(ck.path, ck.sess.Snapshot())
 	ck.since = 0
-	ck.hooks.checkpointSaved(err)
+	ck.sess.opt.Hooks.checkpointSaved(err)
 }
 
-// maybeSave counts a merged shard and snapshots at the periodic interval.
-func (ck *checkpointer) maybeSave(cur cursor, basic []classAcc, enhanced [][]classAcc, conv *convTracker) {
+// tick counts a merged shard and snapshots at the periodic interval.
+func (ck *checkpointer) tick() {
 	if ck == nil {
 		return
 	}
 	ck.since++
 	if ck.since >= ck.every {
-		ck.save(cur, basic, enhanced, conv)
+		ck.save()
 	}
 }
 
@@ -361,59 +388,10 @@ func (ck *checkpointer) remove() {
 	_ = os.Remove(ck.path)
 }
 
-// restore rehydrates the merged state from a checkpoint.
-func (c *Checkpoint) restore(basic []classAcc, enhanced [][]classAcc, conv *convTracker) {
-	for i := range basic {
-		basic[i] = c.Basic[i].acc()
-	}
-	if enhanced != nil {
-		for i := range enhanced {
-			for z := range enhanced[i] {
-				enhanced[i][z] = c.EnhancedAcc[i][z].acc()
-			}
-		}
-	}
-	conv.nextCheck = c.ConvNext
-	copy(conv.prev, c.ConvPrev)
-	copy(conv.prevCount, c.ConvPrevCount)
-}
-
 // totalShardsMerged is the checkpoint's merged-shard total across phases.
 func (c *Checkpoint) totalShardsMerged() int {
 	if c.Phase == PhaseBiased {
 		return c.UsedShards + c.ShardsMerged
 	}
 	return c.ShardsMerged
-}
-
-// loadResume resolves the Resume option: it returns the checkpoint to
-// continue from, nil for a fresh start (no file, or a quarantined corrupt
-// file), or an error for an identity mismatch or unreadable file.
-func loadResume(opt *CharacterizeOptions, module string, inputBits int, model *Model, shards int) (*Checkpoint, error) {
-	co := opt.Checkpoint
-	if co.Path == "" || !co.Resume {
-		return nil, nil
-	}
-	cp, err := LoadCheckpoint(co.Path)
-	switch {
-	case err == nil:
-	case os.IsNotExist(err):
-		return nil, nil
-	case atomicio.IsCorrupt(err):
-		// Quarantined by the loader; the checkpoint was an optimization,
-		// so degrade to a fresh (slower, still correct) run.
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("core: checkpoint %s: %w", co.Path, err)
-	}
-	if err := cp.matches(co.Path, module, inputBits, opt); err != nil {
-		return nil, err
-	}
-	if err := cp.sanity(model, shards); err != nil {
-		// Checksum and identity passed but the structure is impossible:
-		// quarantine and start fresh rather than resuming into garbage.
-		_ = atomicio.MarkCorrupt(co.Path, err.Error())
-		return nil, nil
-	}
-	return cp, nil
 }

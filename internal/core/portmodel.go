@@ -197,16 +197,11 @@ func CharacterizePorts(meter *power.Meter, moduleName string, widthA, widthB int
 	}
 
 	plan := shardPlan(opt.Patterns)
-	workers := opt.workerCount()
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	backend, err := opt.resolveBackend(meter)
+	backends, err := opt.workerBackends(meter, len(plan))
 	if err != nil {
 		return nil, err
 	}
-	backends := backendPool(backend, workers)
-	runShardsOrdered(len(plan), workers,
+	runShardsOrdered(len(plan), len(backends),
 		func(w, idx int) [][]classAcc {
 			return runPortShard(backends[w], widthA, widthB, plan[idx], opt.Seed)
 		},

@@ -1,22 +1,21 @@
 package core
 
-// session.go exports the characterization merge state machine for
-// distributed builds (internal/fleet). A single-node Characterize owns
-// three jobs at once: simulating shards, merging their partial
-// accumulators in shard order, and deciding convergence. A fleet splits
-// the first job across worker processes — CharacterizeShardRange computes
-// any contiguous range of the deterministic shard plan — while the
-// coordinator replays the other two through a MergeSession, one
-// ShardResult at a time, exactly as Characterize would have: same
-// accumulator arithmetic, same per-shard convergence-check cadence, same
-// early-stop boundary, same hook order. That is what makes a fleet build
-// bit-identical to a single-node run of the same options (pinned by
-// TestFleetBitIdentical in internal/fleet).
+// session.go holds the characterization merge state machine. A
+// characterization does three jobs: it simulates shards, merges their
+// partial accumulators in shard order, and decides convergence. The last
+// two live in MergeSession and nowhere else. Characterize drives a session
+// in process, folding each shard its worker pool computes; a fleet
+// coordinator (internal/fleet) drives one with the ShardResults its
+// workers compute through CharacterizeShardRange. Both callers therefore
+// share the accumulator arithmetic, the per-shard convergence-check
+// cadence, the early-stop boundary and the hook order, which is what makes
+// a fleet build bit-identical to a single-node run of the same options
+// (pinned by TestFleetBitIdentical in internal/fleet).
 //
-// Sessions snapshot to and resume from the same Checkpoint encoding the
-// crash-safe single-node path uses, so a coordinator's lease ledger
-// inherits the checkpoint's bit-exact float64 round-trip guarantees for
-// free.
+// A session snapshots to and resumes from one Checkpoint encoding,
+// whether the snapshot lands in a checkpoint file (Characterize) or in a
+// coordinator's lease ledger, so both inherit the checkpoint's bit-exact
+// float64 round trip.
 
 import (
 	"fmt"
@@ -44,22 +43,7 @@ type ShardResult struct {
 // result converts a computed shard partial to its wire form.
 func (p *charPartial) result(index int) ShardResult {
 	r := ShardResult{Index: index, Patterns: p.patterns}
-	if p.basic != nil {
-		r.Basic = make([]AccState, len(p.basic))
-		for i := range p.basic {
-			r.Basic[i] = p.basic[i].state()
-		}
-	}
-	if p.enhanced != nil {
-		r.Enhanced = make([][]AccState, len(p.enhanced))
-		for i := range p.enhanced {
-			row := make([]AccState, len(p.enhanced[i]))
-			for z := range p.enhanced[i] {
-				row[z] = p.enhanced[i][z].state()
-			}
-			r.Enhanced[i] = row
-		}
-	}
+	r.Basic, r.Enhanced = p.states()
 	return r
 }
 
@@ -96,49 +80,39 @@ func NumShards(patterns int) int {
 func CharacterizeShardRange(meter *power.Meter, moduleName string, opt CharacterizeOptions,
 	phase string, start, end int) ([]ShardResult, error) {
 	opt.setDefaults()
-	if err := verifyNetlist(meter, moduleName); err != nil {
+	m, err := inputBits(meter, moduleName)
+	if err != nil {
 		return nil, err
-	}
-	m := meter.NumInputBits()
-	if m <= 0 {
-		return nil, fmt.Errorf("core: module %s has no inputs", moduleName)
 	}
 	plan := shardPlan(opt.Patterns)
 	if start < 0 || end > len(plan) || start >= end {
 		return nil, fmt.Errorf("core: shard range [%d,%d) outside the %d-shard plan of %s",
 			start, end, len(plan), moduleName)
 	}
-	var biased, enhanced bool
+	var biased bool
 	switch phase {
 	case PhaseBasic:
-		enhanced = opt.Enhanced
 	case PhaseBiased:
 		if !opt.Enhanced {
 			return nil, fmt.Errorf("core: biased-phase shards requested for the non-enhanced run of %s", moduleName)
 		}
-		biased, enhanced = true, true
+		biased = true
 	default:
 		return nil, fmt.Errorf("core: unknown characterization phase %q", phase)
 	}
-	// Only the bucket geometry of the model is read during simulation.
-	model := &Model{Module: moduleName, InputBits: m, Basic: make([]Coef, m), ZClusters: opt.ZClusters}
-
 	n := end - start
-	workers := opt.workerCount()
-	if workers > n {
-		workers = n
-	}
-	backend, err := opt.resolveBackend(meter)
+	backends, err := opt.workerBackends(meter, n)
 	if err != nil {
 		return nil, err
 	}
-	backends := backendPool(backend, workers)
+	// Only the bucket geometry of the model is read during simulation.
+	model := newModel(moduleName, m, opt.ZClusters)
 
 	results := make([]ShardResult, 0, n)
 	var interrupted error
-	runShardsOrdered(n, workers,
+	runShardsOrdered(n, len(backends),
 		func(w, idx int) *charPartial {
-			return runCharShard(backends[w], model, plan[start+idx], opt.Seed, biased, enhanced)
+			return runCharShard(backends[w], model, plan[start+idx], opt.Seed, biased, opt.Enhanced)
 		},
 		func(idx int, part *charPartial) bool {
 			if opt.Interrupt != nil {
@@ -157,13 +131,14 @@ func CharacterizeShardRange(meter *power.Meter, moduleName string, opt Character
 	return results, nil
 }
 
-// MergeSession replays the merge/convergence/early-stop state machine of
-// Characterize one ShardResult at a time, for callers that obtain shard
-// partials from elsewhere (a worker fleet) instead of computing them
-// inline. Feeding it every shard of the plan in order yields the same
-// model, the same early-stop decision, and the same hook sequence as
-// Characterize with the same options — the bit-identity contract
-// distributed builds rest on.
+// MergeSession is the characterization merge state machine: it folds
+// shard partials in shard order, runs the convergence check, decides the
+// early stop, moves from the basic to the biased phase, and fires the
+// phase and per-shard hooks. Characterize drives one in process; a
+// distributed caller feeds it one ShardResult at a time through Merge.
+// Feeding every shard of the plan in order yields the same model, the
+// same early-stop decision and the same hook sequence either way — the
+// bit-identity contract distributed builds rest on.
 //
 // A session is not safe for concurrent use; the fleet coordinator drives
 // it under its own lock.
@@ -173,10 +148,10 @@ type MergeSession struct {
 	model  *Model
 	plan   []shard
 
-	basic    []classAcc
-	enhanced [][]classAcc
-	conv     *convTracker
-	checks   bool
+	total   *charPartial // merged accumulators (patterns are counted per phase below)
+	conv    *convTracker
+	checks  bool
+	scratch *charPartial // Merge's view of a ShardResult, reused across results
 
 	phase          string
 	merged         int // shards merged within the current phase
@@ -189,35 +164,33 @@ type MergeSession struct {
 	done           bool
 }
 
+// newModel returns an unfitted model carrying the class geometry of a run.
+func newModel(module string, inputBits, zClusters int) *Model {
+	return &Model{
+		Module:    module,
+		InputBits: inputBits,
+		Basic:     make([]Coef, inputBits),
+		ZClusters: zClusters,
+	}
+}
+
 // newSession builds the session skeleton without opening a phase.
 func newSession(module string, inputBits int, opt CharacterizeOptions) (*MergeSession, error) {
 	opt.setDefaults()
 	if inputBits <= 0 {
 		return nil, fmt.Errorf("core: module %s has no inputs", module)
 	}
-	model := &Model{
-		Module:    module,
-		InputBits: inputBits,
-		Basic:     make([]Coef, inputBits),
-		ZClusters: opt.ZClusters,
-	}
-	s := &MergeSession{
+	model := newModel(module, inputBits, opt.ZClusters)
+	return &MergeSession{
 		module: module,
 		opt:    opt,
 		model:  model,
 		plan:   shardPlan(opt.Patterns),
-		basic:  make([]classAcc, inputBits),
+		total:  newCharPartial(model, 0, true, opt.Enhanced),
 		conv:   newConvTracker(inputBits, opt.ConvergeTol, opt.CheckEvery),
 		checks: opt.ConvergeTol > 0 || opt.Hooks.wantsConvergence(),
 		phase:  PhaseBasic,
-	}
-	if opt.Enhanced {
-		s.enhanced = make([][]classAcc, inputBits)
-		for i := 1; i <= inputBits; i++ {
-			s.enhanced[i-1] = make([]classAcc, model.NumZBuckets(i))
-		}
-	}
-	return s, nil
+	}, nil
 }
 
 // NewMergeSession starts a fresh merge session for a run of the given
@@ -237,24 +210,38 @@ func NewMergeSession(module string, inputBits int, opt CharacterizeOptions) (*Me
 // own Snapshot, or a file checkpoint of the same run). The checkpoint's
 // identity must match the requested run — a mismatch returns a
 // *CheckpointMismatchError, exactly like a single-node resume — and its
-// structure is sanity-checked before anything is trusted. Hook replay
-// mirrors Characterize: Resumed fires first, then the phase hooks of any
-// already-finished phases, so observers see balanced pairs.
+// structure is sanity-checked before anything is trusted.
 func ResumeMergeSession(module string, inputBits int, opt CharacterizeOptions, cp *Checkpoint) (*MergeSession, error) {
+	if cp == nil {
+		return nil, fmt.Errorf("core: resume of %s without a checkpoint snapshot", module)
+	}
 	s, err := newSession(module, inputBits, opt)
 	if err != nil {
 		return nil, err
 	}
-	if cp == nil {
-		return nil, fmt.Errorf("core: resume of %s without a checkpoint snapshot", module)
-	}
-	if err := cp.matches("(snapshot)", module, inputBits, &s.opt); err != nil {
+	if err := s.resume(cp, "(snapshot)", nil); err != nil {
 		return nil, err
 	}
-	if err := cp.sanity(s.model, len(s.plan)); err != nil {
-		return nil, fmt.Errorf("core: snapshot of %s fails sanity: %w", module, err)
+	return s, nil
+}
+
+// resume checks cp against the session's run, restores its merged state
+// and settles past every phase the snapshot had already completed, with
+// boundary as in advance. A rejected checkpoint leaves the session
+// untouched. Hooks replay as a fresh run would fire them: Resumed first,
+// then the phase hooks of already-finished phases, so observers see
+// balanced pairs.
+func (s *MergeSession) resume(cp *Checkpoint, path string, boundary func()) error {
+	if err := cp.matches(path, s.module, s.model.InputBits, &s.opt); err != nil {
+		return err
 	}
-	cp.restore(s.basic, s.enhanced, s.conv)
+	if err := cp.sanity(s.model, len(s.plan)); err != nil {
+		return fmt.Errorf("core: checkpoint %s of %s fails sanity: %w", path, s.module, err)
+	}
+	s.total.load(cp.Basic, cp.EnhancedAcc)
+	s.conv.nextCheck = cp.ConvNext
+	copy(s.conv.prev, cp.ConvPrev)
+	copy(s.conv.prevCount, cp.ConvPrevCount)
 	s.patternsBasic = cp.PatternsBasic
 	s.patternsBiased = cp.PatternsBiased
 	s.stopped = cp.EarlyStopped
@@ -262,23 +249,18 @@ func ResumeMergeSession(module string, inputBits int, opt CharacterizeOptions, c
 	s.opt.Hooks.resumed(cp.Phase, cp.totalShardsMerged(), cp.PatternsBasic, cp.PatternsBiased)
 	s.openPhase(len(s.plan), s.opt.Patterns)
 	if cp.Phase == PhaseBiased {
+		// An earlier process closed the basic phase and took its boundary
+		// snapshot; replay the close without repeating the boundary.
 		s.merged = cp.UsedShards
-		s.completeBasic()
-		s.merged = cp.ShardsMerged
-		if !s.done && s.merged == s.usedShards {
-			s.completeBiased()
-		}
-	} else {
-		s.merged = cp.ShardsMerged
-		if s.merged == len(s.plan) {
-			s.completeBasic()
-		}
+		s.advance(nil)
 	}
-	return s, nil
+	s.merged = cp.ShardsMerged
+	s.settle(boundary)
+	return nil
 }
 
 // openPhase fires the PhaseStart hook for the session's current phase and
-// records it as open; closePhase is its balance, reached from Merge on
+// records it as open; closePhase is its balance, reached from advance on
 // phase completion or from Close on abandonment.
 func (s *MergeSession) openPhase(shards, patterns int) {
 	s.phaseOpen = true
@@ -294,28 +276,82 @@ func (s *MergeSession) closePhase() {
 	s.opt.Hooks.phaseEnd(s.phase)
 }
 
-// completeBasic closes the basic phase at the current merge point and
-// either finishes the session (basic-only run) or opens the biased phase
-// over the shards the basic phase actually consumed — the same budget
-// rule Characterize applies after an early stop.
-func (s *MergeSession) completeBasic() {
-	s.usedShards = s.merged
+// fold merges one shard's partial accumulators at the session's cursor,
+// fires the per-shard hooks and, in the basic phase, runs the convergence
+// check — before any snapshot can be taken at this boundary, since a
+// snapshot with a due check still pending would resume into a different
+// check cadence. It reports whether the phase is complete: its last shard
+// is merged, or the basic phase just met the convergence tolerance. The
+// caller then advances the session.
+func (s *MergeSession) fold(part *charPartial) bool {
+	if s.phase == PhaseBasic {
+		for k := range s.total.basic {
+			s.total.basic[k].merge(&part.basic[k])
+		}
+		s.patternsBasic += part.patterns
+	} else {
+		s.patternsBiased += part.patterns
+	}
+	for i := range part.enhanced {
+		for z := range part.enhanced[i] {
+			s.total.enhanced[i][z].merge(&part.enhanced[i][z])
+		}
+	}
+	s.merged++
+	s.opt.Hooks.patterns(part.patterns)
+	s.opt.Hooks.shardMerged()
+	if s.phase == PhaseBasic && s.checks {
+		if worst, checked, stop := s.conv.check(s.total.basic, s.patternsBasic); checked {
+			s.opt.Hooks.convergence(s.patternsBasic, worst)
+			if stop {
+				s.stopped = true
+				s.earlyStopAt = s.patternsBasic
+				s.opt.Hooks.earlyStop(s.patternsBasic)
+			}
+		}
+	}
+	return s.phaseComplete()
+}
+
+// phaseComplete reports whether the current phase has nothing left to
+// merge: every shard of its budget is in, or the basic phase converged.
+func (s *MergeSession) phaseComplete() bool {
+	if s.phase == PhaseBiased {
+		return s.merged == s.usedShards
+	}
+	return s.stopped || s.merged == len(s.plan)
+}
+
+// advance closes the completed current phase and either finishes the
+// session (after the biased phase, or after the basic phase of a
+// basic-only run) or opens the biased phase over the shards the basic
+// phase actually consumed. boundary, when non-nil, runs between the close
+// and the open, where a Snapshot already shows the biased phase at shard
+// 0 — the phase-boundary checkpoint of Characterize.
+func (s *MergeSession) advance(boundary func()) {
 	s.closePhase()
+	if s.phase == PhaseBiased {
+		s.done = true
+		return
+	}
+	s.usedShards = s.merged
 	if !s.opt.Enhanced {
 		s.done = true
 		return
 	}
 	s.phase = PhaseBiased
 	s.merged = 0
-	s.openPhase(s.usedShards, s.patternsBasic)
-	if s.usedShards == 0 {
-		s.completeBiased()
+	if boundary != nil {
+		boundary()
 	}
+	s.openPhase(s.usedShards, s.patternsBasic)
 }
 
-func (s *MergeSession) completeBiased() {
-	s.closePhase()
-	s.done = true
+// settle advances past every completed phase.
+func (s *MergeSession) settle(boundary func()) {
+	for !s.done && s.phaseComplete() {
+		s.advance(boundary)
+	}
 }
 
 // Phase returns the phase the session is currently merging (PhaseBasic or
@@ -371,15 +407,8 @@ func (s *MergeSession) validate(r ShardResult) error {
 		return fmt.Errorf("core: biased-phase shard %d of %s carries basic accumulators", r.Index, s.module)
 	}
 	if s.opt.Enhanced {
-		if len(r.Enhanced) != m {
-			return fmt.Errorf("core: shard %d of %s has %d enhanced rows, want %d",
-				r.Index, s.module, len(r.Enhanced), m)
-		}
-		for i := 1; i <= m; i++ {
-			if len(r.Enhanced[i-1]) != s.model.NumZBuckets(i) {
-				return fmt.Errorf("core: shard %d of %s: enhanced row %d has %d buckets, want %d",
-					r.Index, s.module, i, len(r.Enhanced[i-1]), s.model.NumZBuckets(i))
-			}
+		if err := s.model.checkEnhancedRows(r.Enhanced); err != nil {
+			return fmt.Errorf("core: shard %d of %s: %w", r.Index, s.module, err)
 		}
 	} else if len(r.Enhanced) != 0 {
 		return fmt.Errorf("core: shard %d of %s carries enhanced accumulators in a basic-only run",
@@ -399,54 +428,23 @@ func (s *MergeSession) Merge(r ShardResult) error {
 	if err := s.validate(r); err != nil {
 		return err
 	}
-	switch s.phase {
-	case PhaseBasic:
-		for k := range s.basic {
-			acc := r.Basic[k].acc()
-			s.basic[k].merge(&acc)
-		}
-		if s.opt.Enhanced {
-			s.mergeEnhanced(r.Enhanced)
-		}
-		s.patternsBasic += r.Patterns
-		s.merged++
-		s.opt.Hooks.patterns(r.Patterns)
-		s.opt.Hooks.shardMerged()
-		if s.checks {
-			if worst, checked, stop := s.conv.check(s.basic, s.patternsBasic); checked {
-				s.opt.Hooks.convergence(s.patternsBasic, worst)
-				if stop {
-					s.stopped = true
-					s.earlyStopAt = s.patternsBasic
-					s.opt.Hooks.earlyStop(s.patternsBasic)
-					s.completeBasic()
-					return nil
-				}
-			}
-		}
-		if s.merged == len(s.plan) {
-			s.completeBasic()
-		}
-	case PhaseBiased:
-		s.mergeEnhanced(r.Enhanced)
-		s.patternsBiased += r.Patterns
-		s.merged++
-		s.opt.Hooks.patterns(r.Patterns)
-		s.opt.Hooks.shardMerged()
-		if s.merged == s.usedShards {
-			s.completeBiased()
-		}
+	if s.fold(s.view(r)) {
+		s.settle(nil)
 	}
 	return nil
 }
 
-func (s *MergeSession) mergeEnhanced(rows [][]AccState) {
-	for i := range rows {
-		for z := range rows[i] {
-			acc := rows[i][z].acc()
-			s.enhanced[i][z].merge(&acc)
-		}
+// view exposes a validated ShardResult as a charPartial over the
+// session's reused scratch accumulators, so Merge allocates nothing per
+// result. The accumulators alias the result's deviation samples, which
+// fold copies.
+func (s *MergeSession) view(r ShardResult) *charPartial {
+	if s.scratch == nil {
+		s.scratch = newCharPartial(s.model, 0, true, s.opt.Enhanced)
 	}
+	s.scratch.patterns = r.Patterns
+	s.scratch.load(r.Basic, r.Enhanced)
+	return s.scratch
 }
 
 // Snapshot captures the session as a Checkpoint — the same encoding the
@@ -462,20 +460,7 @@ func (s *MergeSession) Snapshot() *Checkpoint {
 	cp.PatternsBiased = s.patternsBiased
 	cp.EarlyStopped = s.stopped
 	cp.EarlyStopAt = s.earlyStopAt
-	cp.Basic = make([]AccState, len(s.basic))
-	for i := range s.basic {
-		cp.Basic[i] = s.basic[i].state()
-	}
-	if s.enhanced != nil {
-		cp.EnhancedAcc = make([][]AccState, len(s.enhanced))
-		for i := range s.enhanced {
-			row := make([]AccState, len(s.enhanced[i]))
-			for z := range s.enhanced[i] {
-				row[z] = s.enhanced[i][z].state()
-			}
-			cp.EnhancedAcc[i] = row
-		}
-	}
+	cp.Basic, cp.EnhancedAcc = s.total.states()
 	// The tracker mutates prev/prevCount in place at every check; the
 	// snapshot must keep its own copies.
 	cp.ConvNext = s.conv.nextCheck
@@ -484,23 +469,22 @@ func (s *MergeSession) Snapshot() *Checkpoint {
 	return &cp
 }
 
-// Finish extracts the fitted model from a completed session, exactly as
-// Characterize does after its final merge.
+// Finish extracts the fitted model from a completed session.
 func (s *MergeSession) Finish() (*Model, error) {
 	if !s.done {
 		return nil, fmt.Errorf("core: merge session for %s is not complete (%s phase, %d/%d shards)",
 			s.module, s.phase, s.merged, s.PhaseShards())
 	}
 	m := s.model.InputBits
-	for k := range s.basic {
-		s.model.Basic[k] = s.basic[k].coef()
+	for k := range s.total.basic {
+		s.model.Basic[k] = s.total.basic[k].coef()
 	}
 	if s.opt.Enhanced {
 		s.model.Enhanced = make([][]Coef, m)
 		for i := 1; i <= m; i++ {
-			row := make([]Coef, len(s.enhanced[i-1]))
+			row := make([]Coef, len(s.total.enhanced[i-1]))
 			for zb := range row {
-				row[zb] = s.enhanced[i-1][zb].coef()
+				row[zb] = s.total.enhanced[i-1][zb].coef()
 			}
 			s.model.Enhanced[i-1] = row
 		}

@@ -6,10 +6,11 @@
 // (see Coordinator) decomposes a build's deterministic shard plan into
 // ranges, leases each range to exactly one worker at a time (lease =
 // range + fencing epoch + deadline), and merges the returned partial
-// accumulators strictly in shard order through a core.MergeSession —
-// so the fitted model is bit-identical to core.Characterize with the
-// same options, no matter how many workers computed it, in what order
-// ranges arrived, or how many leases died along the way.
+// accumulators strictly in shard order through a core.MergeSession, the
+// merge state machine core.Characterize itself drives in process — so
+// the fitted model is bit-identical to core.Characterize with the same
+// options, no matter how many workers computed it, in what order ranges
+// arrived, or how many leases died along the way.
 //
 // Robustness model, in one place:
 //
@@ -36,8 +37,6 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
 	"hdpower/internal/core"
 	"hdpower/internal/power"
@@ -172,23 +171,3 @@ const (
 	PathHeartbeat = "/fleet/v1/heartbeat"
 	PathUpload    = "/fleet/v1/upload"
 )
-
-// backoff returns the capped full-jitter delay for the given retry
-// attempt (0-based): uniform over (0, min(base<<attempt, cap)]. The same
-// discipline internal/serve applies to build retries.
-func backoff(base, max time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 3 * time.Second
-	}
-	limit := base
-	for i := 0; i < attempt && limit < max; i++ {
-		limit *= 2
-	}
-	if limit > max {
-		limit = max
-	}
-	return time.Duration(rand.Int63n(int64(limit))) + time.Millisecond
-}

@@ -16,6 +16,7 @@ import (
 	"hdpower/internal/faultpoint"
 	"hdpower/internal/obs"
 	"hdpower/internal/power"
+	"hdpower/internal/retry"
 )
 
 // Worker defaults.
@@ -116,7 +117,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		resp, err := w.lease(ctx)
 		if err != nil {
 			w.log.Debug("lease RPC failed; backing off", "err", err, "attempt", attempt)
-			if !sleepCtx(ctx, backoff(w.cfg.RetryBase, w.cfg.RetryCap, attempt)) {
+			if !sleepCtx(ctx, retry.Backoff(w.cfg.RetryBase, w.cfg.RetryCap, attempt)) {
 				return ctx.Err()
 			}
 			attempt++
@@ -238,7 +239,7 @@ func (w *Worker) upload(ctx context.Context, ls Lease, results []core.ShardResul
 		}
 		w.log.Debug("upload failed; retrying", "job", ls.JobID, "start", ls.Start,
 			"code", code, "err", err, "attempt", attempt)
-		if !sleepCtx(ctx, backoff(w.cfg.RetryBase, w.cfg.RetryCap, attempt)) {
+		if !sleepCtx(ctx, retry.Backoff(w.cfg.RetryBase, w.cfg.RetryCap, attempt)) {
 			return
 		}
 	}

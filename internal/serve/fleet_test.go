@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -231,5 +232,75 @@ func TestQuarantinedCheckpointRecovery(t *testing.T) {
 	// Resumed must NOT have fired: the build started from scratch.
 	if got := s.met.buildsResumed.Value(); got != 0 {
 		t.Errorf("buildsResumed = %d, want 0 (fresh build after quarantine)", got)
+	}
+}
+
+// TestRecoveredFleetBuildResumesLedger: a fleet build interrupted
+// mid-plan leaves its ledger; a restarted coordinator-mode server with no
+// workers registered must resume that ledger through the fleet (computing
+// ranges itself) instead of starting a local build from scratch, and must
+// clear the ledger once the model is ready.
+func TestRecoveredFleetBuildResumesLedger(t *testing.T) {
+	spec := BuildSpec{Module: "ripple-adder", Width: 2, Seed: 7, Patterns: 1280, Enhanced: true}
+	id := buildID(spec.Key())
+
+	local, _ := newTestServer(t, Config{CharWorkers: 2})
+	want, err := local.characterize(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// "Crash": a fleet build is cancelled after its second ledger save.
+	dir := t.TempDir()
+	fleetCfg := fleet.Config{LeaseShards: 2, LeaseTTL: 2 * time.Second, Tick: 5 * time.Millisecond}
+	crashed, _ := newTestServer(t, Config{
+		CharWorkers: 2, Fleet: fleet.NewCoordinator(fleetCfg), CheckpointDir: dir,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	saves := 0
+	hooks := &core.Hooks{CheckpointSaved: func(error) {
+		if saves++; saves == 2 {
+			cancel()
+		}
+	}}
+	if _, err := crashed.characterizeFleet(ctx, spec, hooks); err == nil {
+		t.Fatal("cancelled fleet build succeeded")
+	}
+	ledger := filepath.Join(dir, id+".fleet.json")
+	if _, err := os.Stat(ledger); err != nil {
+		t.Fatalf("no ledger after the interrupted fleet build: %v", err)
+	}
+	// A SIGKILL leaves the build's spec sidecar behind.
+	if err := atomicio.WriteJSON(filepath.Join(dir, id+".spec.json"), spec); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, _ := newTestServer(t, Config{
+		CharWorkers: 2, Fleet: fleet.NewCoordinator(fleetCfg), CheckpointDir: dir,
+	})
+	ent, ok := restarted.cache.lookupID(id)
+	if !ok {
+		t.Fatal("interrupted build not recovered")
+	}
+	select {
+	case <-ent.done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("recovered build did not settle")
+	}
+	if status, err := restarted.entryResult(ent); status != statusReady {
+		t.Fatalf("recovered build %q: %v", status, err)
+	}
+	if got := restarted.met.buildsResumed.Value(); got != 1 {
+		t.Errorf("resumed = %d, want 1 (the fleet ledger's progress)", got)
+	}
+	got, _ := restarted.cache.ready(spec.Key())
+	if !reflect.DeepEqual(got, want) {
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		t.Errorf("resumed fleet model differs from the local build:\n got %s\nwant %s", gj, wj)
+	}
+	if _, err := os.Stat(ledger); !os.IsNotExist(err) {
+		t.Errorf("ledger not removed after the resumed build: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -449,9 +448,13 @@ func (c *modelCache) entrySnapshot(ent *buildEntry) modelSnapshot {
 // characterize is the real build backend: generate the netlist, wrap it
 // in the reference charge meter, and run the parallel characterization
 // engine with the server's observability hooks and the build context as
-// the interrupt source.
+// the interrupt source. A fleet-configured server dispatches to the
+// fleet while workers are live, and also whenever the build already has
+// a fleet ledger: a build recovered right after a restart, before any
+// worker re-registers, must resume the ledger's merged progress (the
+// coordinator computes ranges itself while it has no workers).
 func (s *Server) characterize(ctx context.Context, spec BuildSpec, hooks *core.Hooks) (*core.Model, error) {
-	if s.cfg.Fleet != nil && s.cfg.Fleet.LiveWorkers() > 0 {
+	if s.cfg.Fleet != nil && (s.cfg.Fleet.LiveWorkers() > 0 || s.hasLedger(buildID(spec.Key()))) {
 		return s.characterizeFleet(ctx, spec, hooks)
 	}
 	mod, err := dwlib.Lookup(spec.Module)
@@ -518,7 +521,7 @@ func (s *Server) characterizeFleet(ctx context.Context, spec BuildSpec, hooks *c
 	}
 	opts := fleet.RunOptions{Hooks: hooks}
 	if s.cfg.CheckpointDir != "" {
-		opts.LedgerPath = filepath.Join(s.cfg.CheckpointDir, id+".fleet.json")
+		opts.LedgerPath = s.ledgerPath(id)
 		opts.Resume = true
 	}
 	s.log.Info("build dispatched to fleet", "id", id, "workers", s.cfg.Fleet.LiveWorkers())

@@ -22,6 +22,20 @@ func (s *Server) checkpointPath(id string) string {
 	return filepath.Join(s.cfg.CheckpointDir, id+".ckpt.json")
 }
 
+// ledgerPath is where a fleet build keeps its coordinator ledger.
+func (s *Server) ledgerPath(id string) string {
+	return filepath.Join(s.cfg.CheckpointDir, id+".fleet.json")
+}
+
+// hasLedger reports whether a fleet build of id left a ledger behind.
+func (s *Server) hasLedger(id string) bool {
+	if s.cfg.CheckpointDir == "" {
+		return false
+	}
+	_, err := os.Stat(s.ledgerPath(id))
+	return err == nil
+}
+
 // specPath is the build-spec sidecar recording an accepted build for
 // restart recovery.
 func (s *Server) specPath(id string) string {

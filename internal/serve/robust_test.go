@@ -58,6 +58,21 @@ func TestBuildRetryTransient(t *testing.T) {
 	}
 }
 
+// TestRetryDelayBounded: every build-retry delay lies in (0, 5s], however
+// many consecutive transient failures preceded it. Shifting the 250ms
+// default base before capping overflowed at attempt 36 and panicked the
+// build worker.
+func TestRetryDelayBounded(t *testing.T) {
+	s := &Server{cfg: Config{BuildRetryBackoff: 250 * time.Millisecond}}
+	for _, attempt := range []int{0, 36, 63, 1000} {
+		for i := 0; i < 200; i++ {
+			if d := s.retryDelay(attempt); d <= 0 || d > 5*time.Second {
+				t.Fatalf("retryDelay(%d) = %v, want in (0, 5s]", attempt, d)
+			}
+		}
+	}
+}
+
 // TestBuildNoRetryOnCancel: context errors are permanent; the backend runs
 // exactly once.
 func TestBuildNoRetryOnCancel(t *testing.T) {

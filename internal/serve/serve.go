@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"os"
 	"runtime"
@@ -50,6 +49,7 @@ import (
 	"hdpower/internal/hddist"
 	"hdpower/internal/modellib"
 	"hdpower/internal/obs"
+	"hdpower/internal/retry"
 	"hdpower/internal/telemetry"
 )
 
@@ -839,13 +839,8 @@ func isTransientBuildErr(err error) bool {
 		!core.IsCheckpointMismatch(err)
 }
 
-// retryDelay is capped exponential backoff with full jitter: uniform in
-// (0, base·2^attempt], never above 5s. Jitter keeps a fleet of restarted
-// builds from thundering onto the same instant.
+// retryDelay is the build-retry backoff: full jitter below
+// BuildRetryBackoff·2^attempt, never above 5s (see retry.Backoff).
 func (s *Server) retryDelay(attempt int) time.Duration {
-	limit := s.cfg.BuildRetryBackoff << uint(attempt)
-	if limit > 5*time.Second {
-		limit = 5 * time.Second
-	}
-	return time.Duration(rand.Int63n(int64(limit))) + time.Millisecond
+	return retry.Backoff(s.cfg.BuildRetryBackoff, 5*time.Second, attempt)
 }
